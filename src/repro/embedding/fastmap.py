@@ -191,24 +191,36 @@ class FastMap(Generic[ObjectT]):
             squared -= delta * delta
         return math.sqrt(squared) if squared > 0 else 0.0
 
+    def _residual_row(self, source: int, objects: Sequence[ObjectT], coordinates: np.ndarray,
+                      dimension: int) -> List[float]:
+        """Residual distances ``d(source, i)`` for every object ``i``."""
+        return [
+            self._residual_distance(source, i, objects, coordinates, dimension)
+            for i in range(len(objects))
+        ]
+
     def _choose_pivots(self, objects: Sequence[ObjectT], coordinates: np.ndarray,
-                       dimension: int) -> Tuple[int, int, float]:
-        """The farthest-pair heuristic in the residual space of ``dimension``."""
+                       dimension: int) -> Tuple[int, int, float, Dict[int, List[float]]]:
+        """The farthest-pair heuristic in the residual space of ``dimension``.
+
+        Also returns the residual rows the walk computed, keyed by their
+        source object, so that the coordinate step can reuse the pivots' rows.
+        """
         n = len(objects)
         pivot_b = self._random.randrange(n)
         pivot_a = pivot_b
         best_distance = 0.0
+        rows: Dict[int, List[float]] = {}
         for _ in range(self.pivot_iterations):
-            distances = [
-                self._residual_distance(pivot_b, i, objects, coordinates, dimension)
-                for i in range(n)
-            ]
+            distances = rows[pivot_b] = self._residual_row(
+                pivot_b, objects, coordinates, dimension
+            )
             farthest = int(np.argmax(distances))
             best_distance = distances[farthest]
             if farthest == pivot_b:
                 break
             pivot_a, pivot_b = pivot_b, farthest
-        return pivot_a, pivot_b, best_distance
+        return pivot_a, pivot_b, best_distance, rows
 
     # -- fitting -----------------------------------------------------------------------
 
@@ -230,7 +242,7 @@ class FastMap(Generic[ObjectT]):
 
         produced = 0
         for dimension in range(self.dimensions):
-            index_a, index_b, pivot_distance = self._choose_pivots(
+            index_a, index_b, pivot_distance, rows = self._choose_pivots(
                 objects, coordinates, dimension
             )
             if pivot_distance <= 0.0:
@@ -239,10 +251,14 @@ class FastMap(Generic[ObjectT]):
             pivots.append(
                 PivotPair(objects[index_a], objects[index_b], pivot_distance)
             )
+            # The walk usually ends oscillating between the two pivots, so both
+            # rows are already known; same residual, same argument order.
+            row_a = rows.get(index_a) or self._residual_row(
+                index_a, objects, coordinates, dimension)
+            row_b = rows.get(index_b) or self._residual_row(
+                index_b, objects, coordinates, dimension)
             d_ab_sq = pivot_distance * pivot_distance
-            for i in range(n):
-                d_ai = self._residual_distance(index_a, i, objects, coordinates, dimension)
-                d_bi = self._residual_distance(index_b, i, objects, coordinates, dimension)
+            for i, (d_ai, d_bi) in enumerate(zip(row_a, row_b)):
                 coordinates[i, dimension] = (
                     (d_ai * d_ai + d_ab_sq - d_bi * d_bi) / (2.0 * pivot_distance)
                 )

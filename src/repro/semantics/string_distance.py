@@ -28,26 +28,44 @@ StringDistance = Callable[[str, str], float]
 
 
 def levenshtein(a: str, b: str) -> int:
-    """Classic Levenshtein edit distance (insertions, deletions, substitutions)."""
+    """Classic Levenshtein edit distance (insertions, deletions, substitutions).
+
+    Bit-parallel: Myers' bit-vector recurrence ("A fast bit-vector algorithm
+    for approximate string matching based on dynamic programming", JACM
+    1999) in Hyyrö's form for the global edit distance (2003).  The classical
+    O(m·n) table is advanced one column per character of the longer string,
+    with a constant number of integer operations: bit ``i`` of ``pv``/``mv``
+    says whether the cell in row ``i + 1`` of the current column is one more
+    or one less than the cell above it (adjacent cells always differ by -1, 0
+    or +1).  Python ints are unbounded, so the shorter string may have any
+    length.  The result is the same integer as the DP.
+    """
     if a == b:
         return 0
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    # Keep the shorter string in the inner loop for memory friendliness.
+    # The shorter string is the bit-vector "pattern" (one bit per character).
     if len(a) < len(b):
         a, b = b, a
-    previous = list(range(len(b) + 1))
-    for i, char_a in enumerate(a, start=1):
-        current = [i]
-        for j, char_b in enumerate(b, start=1):
-            insert_cost = current[j - 1] + 1
-            delete_cost = previous[j] + 1
-            substitute_cost = previous[j - 1] + (0 if char_a == char_b else 1)
-            current.append(min(insert_cost, delete_cost, substitute_cost))
-        previous = current
-    return previous[-1]
+    if not b:
+        return len(a)
+    match_masks: dict[str, int] = {}
+    bit = 1
+    for char in b:
+        match_masks[char] = match_masks.get(char, 0) | bit
+        bit <<= 1
+    full = bit - 1
+    pv, mv = full, 0
+    masks = match_masks.get
+    for char in a:
+        eq = masks(char, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        # Horizontal deltas, shifted down one row; row 0 of the table grows
+        # by one per column, hence the +1 shifted in.
+        ph = ((mv | ~(xh | pv)) << 1) | 1
+        pv = (((pv & xh) << 1) | ~(xv | ph)) & full
+        mv = ph & xv
+    # The last column: row 0 holds len(a), then one vertical delta per row.
+    return len(a) + pv.bit_count() - mv.bit_count()
 
 
 def normalised_levenshtein(a: str, b: str) -> float:

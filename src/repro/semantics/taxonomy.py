@@ -19,7 +19,8 @@ the underlying taxonomy:
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence,
+                    Set, Tuple)
 
 from repro.errors import TaxonomyError
 
@@ -44,7 +45,8 @@ class Taxonomy:
         self._parents: Dict[str, Set[str]] = {self._root: set()}
         self._children: Dict[str, Set[str]] = {self._root: set()}
         self._depth_cache: Dict[str, int] = {}
-        self._ancestor_cache: Dict[str, Set[str]] = {}
+        #: Per concept, the concept itself and all of its ancestors.
+        self._closure_cache: Dict[str, FrozenSet[str]] = {}
 
     # -- construction -----------------------------------------------------------
 
@@ -119,7 +121,7 @@ class Taxonomy:
 
     def _invalidate_caches(self) -> None:
         self._depth_cache.clear()
-        self._ancestor_cache.clear()
+        self._closure_cache.clear()
 
     def _reachable(self, start: str, target: str) -> bool:
         """True if ``target`` is reachable from ``start`` following child edges."""
@@ -193,22 +195,26 @@ class Taxonomy:
 
     def ancestors(self, concept: str, *, include_self: bool = True) -> Set[str]:
         """All ancestors of ``concept`` (including the root and, optionally, itself)."""
-        self._require(concept)
-        cached = self._ancestor_cache.get(concept)
+        result = set(self._closure(concept))
+        if not include_self:
+            result.discard(concept)
+        return result
+
+    def _closure(self, concept: str) -> FrozenSet[str]:
+        """``concept`` and all of its ancestors, cached and shared (never copied)."""
+        cached = self._closure_cache.get(concept)
         if cached is None:
-            cached = set()
+            self._require(concept)
+            closure = {concept}
             queue = deque([concept])
             while queue:
                 node = queue.popleft()
                 for parent in self._parents.get(node, ()):
-                    if parent not in cached:
-                        cached.add(parent)
+                    if parent not in closure:
+                        closure.add(parent)
                         queue.append(parent)
-            self._ancestor_cache[concept] = cached
-        result = set(cached)
-        if include_self:
-            result.add(concept)
-        return result
+            cached = self._closure_cache[concept] = frozenset(closure)
+        return cached
 
     def descendants(self, concept: str, *, include_self: bool = True) -> Set[str]:
         """All descendants of ``concept`` (optionally including itself)."""
@@ -243,9 +249,7 @@ class Taxonomy:
 
     def lcs(self, concept_a: str, concept_b: str) -> str:
         """Least common subsumer: the deepest shared ancestor of the two concepts."""
-        ancestors_a = self.ancestors(concept_a)
-        ancestors_b = self.ancestors(concept_b)
-        common = ancestors_a & ancestors_b
+        common = self._closure(concept_a) & self._closure(concept_b)
         if not common:  # pragma: no cover - the root is always shared
             return self._root
         return max(common, key=lambda concept: (self.depth(concept), concept))
@@ -257,7 +261,7 @@ class Taxonomy:
         if concept_a == concept_b:
             return 0
         best: Optional[int] = None
-        common = self.ancestors(concept_a) & self.ancestors(concept_b)
+        common = self._closure(concept_a) & self._closure(concept_b)
         for ancestor in common:
             up_a = self._shortest_up_path(concept_a, ancestor)
             up_b = self._shortest_up_path(concept_b, ancestor)

@@ -36,7 +36,8 @@ from repro.semantics.vocabulary import Vocabulary
 
 __all__ = ["DistanceWeights", "TermDistance", "TripleDistance"]
 
-_WEIGHT_TOLERANCE = 1e-9
+#: How far ``alpha + beta + gamma`` may stray from 1 (floating-point slack).
+_WEIGHT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,7 +53,7 @@ class DistanceWeights:
             if value < 0:
                 raise DistanceError(f"weight {name} must be non-negative, got {value}")
         total = self.alpha + self.beta + self.gamma
-        if abs(total - 1.0) > 1e-6:
+        if abs(total - 1.0) > _WEIGHT_TOLERANCE:
             raise DistanceError(
                 f"weights must sum to 1 (alpha+beta+gamma = {total:.6f})"
             )

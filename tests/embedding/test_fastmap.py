@@ -53,6 +53,25 @@ class TestFit:
         with pytest.raises(EmbeddingError):
             space_builder.fit([(0,), (1,)])
 
+    def test_coordinate_step_reuses_the_pivot_walk_rows(self, planar_objects):
+        # With the default five-step walk both pivots' rows come from the walk.
+        fastmap = FastMap(euclidean, dimensions=2, seed=0)
+        fastmap.fit(planar_objects)
+        assert fastmap.distance_evaluations == 2 * 5 * len(planar_objects)
+
+    def test_missing_pivot_row_is_recomputed(self, planar_objects):
+        # A one-step walk never visits its second pivot: that row is computed
+        # by the coordinate step, and the cosine law still holds exactly.
+        fastmap = FastMap(euclidean, dimensions=1, pivot_iterations=1, seed=0)
+        space = fastmap.fit(planar_objects)
+        assert fastmap.distance_evaluations == 2 * len(planar_objects)
+        pivot = space.pivots[0]
+        for obj, coordinate in zip(planar_objects, space.coordinates[:, 0]):
+            d_a = euclidean(obj, pivot.first)
+            d_b = euclidean(obj, pivot.second)
+            assert coordinate == pytest.approx(
+                (d_a * d_a + pivot.distance ** 2 - d_b * d_b) / (2 * pivot.distance))
+
     def test_identical_objects_collapse_to_one_dimension(self):
         objects = ["same"] * 5
         space = FastMap(lambda a, b: 0.0, dimensions=3, seed=0).fit(objects)

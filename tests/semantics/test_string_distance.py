@@ -1,5 +1,7 @@
 """Tests (including property-based tests) for the string distances."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,23 @@ from repro.semantics import (
 )
 
 short_text = st.text(alphabet=st.characters(min_codepoint=97, max_codepoint=122), max_size=12)
+
+
+def reference_levenshtein(a: str, b: str) -> int:
+    """The textbook O(m·n) dynamic programme: the oracle for :func:`levenshtein`."""
+    previous = list(range(len(b) + 1))
+    for i, char_a in enumerate(a, start=1):
+        current = [i]
+        for j, char_b in enumerate(b, start=1):
+            current.append(min(current[j - 1] + 1, previous[j] + 1,
+                               previous[j - 1] + (char_a != char_b)))
+        previous = current
+    return previous[-1]
+
+
+#: Alphabets of size 2, 3 and 28 (small ones force long runs of matches),
+#: and one mixing non-ASCII characters, including one outside the BMP.
+ORACLE_ALPHABETS = ["ab", "abc", "abcdefghijklmnopqrstuvwxyz:-", "aé€-𝄞"]
 
 
 class TestLevenshtein:
@@ -47,6 +66,43 @@ class TestLevenshtein:
     @given(short_text, short_text)
     def test_bounded_by_longest_string(self, a, b):
         assert levenshtein(a, b) <= max(len(a), len(b))
+
+
+class TestLevenshteinOracle:
+    """The bit-parallel kernel against the DP, across the 64-bit word boundary."""
+
+    @pytest.mark.parametrize("alphabet", ORACLE_ALPHABETS)
+    def test_random_pairs_match_dynamic_programme(self, alphabet):
+        rng = random.Random(f"levenshtein-{alphabet}")
+        for _ in range(300):
+            a = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 130)))
+            b = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 130)))
+            expected = reference_levenshtein(a, b)
+            assert levenshtein(a, b) == expected, (a, b)
+            assert levenshtein(b, a) == expected, (b, a)
+
+    @pytest.mark.parametrize("length", [1, 2, 63, 64, 65, 127, 128, 129, 130])
+    def test_pattern_widths_around_word_boundaries(self, length):
+        rng = random.Random(length)
+        for alphabet in ORACLE_ALPHABETS:
+            a = "".join(rng.choice(alphabet) for _ in range(length))
+            for other_length in (0, 1, length - 1, length, length + 1, 2 * length):
+                b = "".join(rng.choice(alphabet) for _ in range(other_length))
+                assert levenshtein(a, b) == reference_levenshtein(a, b), (a, b)
+                assert levenshtein(b, a) == reference_levenshtein(b, a), (b, a)
+
+    @pytest.mark.parametrize("a", ["", "x", "é", "𝄞" * 70, "ab" * 65])
+    def test_identical_and_one_sided_pairs(self, a):
+        assert levenshtein(a, a) == 0
+        assert levenshtein(a, "") == len(a)
+        assert levenshtein("", a) == len(a)
+
+    def test_single_edits_at_either_end_of_a_long_string(self):
+        base = "InType:pre-launch-phase" * 4
+        for edited in ("X" + base, base + "X", base[1:], base[:-1],
+                       "X" + base[1:], base[:-1] + "X"):
+            assert levenshtein(base, edited) == 1
+            assert levenshtein(edited, base) == 1
 
 
 class TestNormalisedLevenshtein:

@@ -84,6 +84,30 @@ class TestQueries:
         assert {"sports_car", "car", "vehicle", "entity", small_taxonomy.root} == ancestors
         assert "sports_car" not in small_taxonomy.ancestors("sports_car", include_self=False)
 
+    def test_ancestors_returns_a_private_copy(self, small_taxonomy):
+        small_taxonomy.ancestors("car").add("dog")
+        small_taxonomy.ancestors("car", include_self=False).clear()
+        assert small_taxonomy.ancestors("car") == {"car", "vehicle", "entity",
+                                                   small_taxonomy.root}
+        assert small_taxonomy.lcs("car", "dog") == "entity"
+
+    def test_new_parent_invalidates_cached_ancestors(self, small_taxonomy):
+        assert small_taxonomy.lcs("truck", "dog") == "entity"
+        small_taxonomy.add_concept("truck", "animal")
+        assert "animal" in small_taxonomy.ancestors("truck")
+        assert small_taxonomy.lcs("truck", "dog") == "animal"
+
+    def test_lcs_tie_breaks_on_depth_then_name(self):
+        # Twenty shared parents at one depth: the greatest name wins, not
+        # whichever one set iteration happens to reach first.
+        taxonomy = Taxonomy()
+        parents = [f"p{i:02d}" for i in range(20)]
+        for concept in parents:
+            taxonomy.add_concept(concept)
+        taxonomy.add_concept("x", parents)
+        taxonomy.add_concept("y", parents)
+        assert taxonomy.lcs("x", "y") == "p19"
+
     def test_descendants(self, small_taxonomy):
         assert small_taxonomy.descendants("vehicle") == {"vehicle", "car", "sports_car", "truck"}
         assert "vehicle" not in small_taxonomy.descendants("vehicle", include_self=False)

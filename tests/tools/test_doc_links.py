@@ -32,6 +32,13 @@ class TestLinkExtraction:
             (1, "reference", "benchmarks/bench_server_throughput.py")
         ]
 
+    def test_perfbench_references_found(self, tmp_path):
+        page = tmp_path / "page.md"
+        page.write_text("The harness is `perfbench/run.py`.\n")
+        assert list(check_doc_links.link_targets(page)) == [
+            (1, "reference", "perfbench/run.py")
+        ]
+
     def test_fenced_code_is_skipped(self, tmp_path):
         page = tmp_path / "page.md"
         page.write_text("```\n[not a link](missing.md)\n```\n[real](real.md)\n")

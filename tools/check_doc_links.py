@@ -8,7 +8,8 @@ references and checks that every *local* target exists:
   are skipped, ``#fragment`` suffixes are stripped, and targets are resolved
   relative to the file that mentions them;
 * `` `path` `` inline-code references that look like repository paths
-  (``docs/*.md``, ``examples/*.py``, ``benchmarks/*.py``, ``tools/*.py``) —
+  (``docs/*.md``, ``examples/*.py``, ``benchmarks/*.py``, ``tools/*.py``,
+  ``perfbench/*.py``) —
   the documentation's habitual way of pointing at code.
 
 Exit status 0 when everything resolves, 1 with one line per broken link —
@@ -31,7 +32,7 @@ MARKDOWN_LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 
 #: `some/path.ext` inline-code references that name repository files.
 CODE_REFERENCE = re.compile(
-    r"`((?:docs|examples|benchmarks|tools|src|tests)/[A-Za-z0-9_./-]+"
+    r"`((?:docs|examples|benchmarks|perfbench|tools|src|tests)/[A-Za-z0-9_./-]+"
     r"\.(?:md|py|json|txt|yml))`"
 )
 
