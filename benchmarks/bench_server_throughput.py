@@ -1,34 +1,35 @@
-"""Server throughput — HTTP round-trip QPS and latency, per transport.
+"""Server throughput — warm-cache HTTP round-trip QPS and latency.
 
 The process-level front end puts a socket, HTTP framing and JSON codec in
-front of the `QueryEngine`; this benchmark measures what that costs per
-transport and how it scales with concurrent clients.  It boots both HTTP
-front ends — the thread-per-connection ``SemTreeServer`` and the
-:mod:`selectors` event-loop ``AsyncSemTreeServer`` (with its wire-byte
-cache on, as the single-node CLI deploys it) — on ephemeral loopback
-ports, replays the same mixed k-NN/range wire workload through the
-:func:`~repro.workloads.http_client.generate_load` driver and reports,
-per client-thread count (1 / 4 / 8) and per transport:
+front of the `QueryEngine`; this benchmark measures what that costs when
+every answer is already cached, and how it scales with concurrent
+clients.  It boots the :mod:`selectors` event-loop ``AsyncSemTreeServer``
+with its wire-byte cache on (as the single-node CLI deploys it) on an
+ephemeral loopback port, replays a mixed k-NN/range wire workload through
+the :func:`~repro.workloads.http_client.generate_load` driver and
+reports, per client-thread count (1 / 4 / 8):
 
 * aggregate QPS over the whole run,
 * client-observed latency percentiles (p50/p90/p99, ms),
-* the engine result-cache and (async) wire-cache hit rates.
+* the engine result-cache and wire-cache hit rates.
 
-Methodology: each server gets one untimed warmup pass, then the sweep
-measures *steady state* — caches stay warm between points, exactly as a
-long-running deployment serves.  The driver pre-encodes every payload and
-never decodes success bodies, so client CPU stays out of the measurement.
+Methodology: the server gets one untimed warmup pass, then the sweep
+measures *steady state* — caches stay warm between points, so every
+measured request is a wire-cache hit (``wire_cache_hit_rate`` 1.0) and
+the numbers are a cache result, not the cost of a cold query.  For cold
+numbers (novel queries, both caches missing) run the serving-path
+benchmark's ``query-novel`` workload (``perfbench/README.md``).  The
+driver pre-encodes every payload and never decodes success bodies, so
+client CPU stays out of the measurement.
 
 Shape expectations encoded below: answers served over HTTP are identical
-to direct in-process engine calls on both transports, and at 8 client
-threads the async transport must sustain at least twice the threaded QPS
-with a p99 no worse.  Absolute numbers depend on the host; the JSON twin
-(``BENCH_server_throughput.json``) records the trajectory in git.
+to direct in-process engine calls, and the repeated queries are served
+out of the wire cache.  Absolute numbers depend on the host; the JSON
+twin (``BENCH_server_throughput.json``) records the trajectory in git.
 
 Quick mode (``SERVER_BENCH_QUICK=1``, used by the CI perf-smoke job)
-shrinks the workload and the thread sweep and drops the 2x floor (smoke
-runners are too noisy to gate on a ratio) so the file doubles as a smoke
-test that both server stacks work under concurrent HTTP load.
+shrinks the workload and the thread sweep so the file doubles as a smoke
+test that the server works under concurrent HTTP load.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from repro.ingest import IngestingIndex
 from repro.requirements import (GeneratorConfig, RequirementsGenerator,
                                 build_requirement_distance,
                                 build_requirement_vocabularies)
-from repro.server import ServerApp, create_server
+from repro.server import AsyncSemTreeServer, ServerApp
 from repro.service.planner import QuerySpec
 from repro.workloads import generate_load, query_payloads
 
@@ -56,12 +57,6 @@ THREAD_COUNTS: Tuple[int, ...] = (1, 2) if QUICK else (1, 4, 8)
 REQUEST_COUNT = 64 if QUICK else 512
 ENGINE_WORKERS = 4
 
-#: How the two series are booted; the async transport runs with its
-#: loop-side wire cache, matching the single-node CLI's default.
-TRANSPORT_KWARGS = {
-    "threaded": {},
-    "async": {"wire_cache": True},
-}
 
 
 def _build_corpus_index() -> Tuple[SemTreeIndex, List]:
@@ -85,21 +80,20 @@ def _build_corpus_index() -> Tuple[SemTreeIndex, List]:
     return index, triples
 
 
-def _boot_server(tmp_path, transport: str, index: SemTreeIndex):
-    live = IngestingIndex(index, tmp_path / f"bench-wal-{transport}.jsonl")
+def _boot_server(tmp_path, index: SemTreeIndex) -> AsyncSemTreeServer:
+    live = IngestingIndex(index, tmp_path / "bench-wal.jsonl")
     app = ServerApp(live, workers=ENGINE_WORKERS, background_compaction=False)
-    server = create_server(app, transport=transport,
-                           **TRANSPORT_KWARGS[transport])
-    return server.serve_background()
+    # The wire cache is on, matching the single-node CLI's default.
+    return AsyncSemTreeServer(app, wire_cache=True).serve_background()
 
 
 def _measure(server, payloads, threads: int) -> Dict[str, float]:
     """One steady-state run: QPS, latency and the per-run cache hit rates."""
     engine_before = server.app.engine.cache.stats
-    wire_before = _wire_stats(server)
+    wire_before = server.wire_cache_stats()
     summary = generate_load(server.url, payloads, threads=threads)
     engine_after = server.app.engine.cache.stats
-    wire_after = _wire_stats(server)
+    wire_after = server.wire_cache_stats()
     lookups = engine_after.lookups - engine_before.lookups
     summary["cache_hit_rate"] = (
         (engine_after.hits - engine_before.hits) / lookups if lookups else 0.0
@@ -113,18 +107,12 @@ def _measure(server, payloads, threads: int) -> Dict[str, float]:
     return summary
 
 
-def _wire_stats(server) -> Dict[str, int]:
-    stats = getattr(server, "wire_cache_stats", None)
-    return stats() if stats is not None else {"hits": 0, "misses": 0}
-
-
 # -- pytest-benchmark cases ---------------------------------------------------------------
 
 @pytest.mark.benchmark(group="server-throughput")
-@pytest.mark.parametrize("transport", ["threaded", "async"])
-def test_http_round_trips(benchmark, tmp_path, transport):
+def test_http_round_trips(benchmark, tmp_path):
     index, triples = _build_corpus_index()
-    server = _boot_server(tmp_path, transport, index)
+    server = _boot_server(tmp_path, index)
     payloads = query_payloads(triples, REQUEST_COUNT, k=3, radius=0.15,
                               repeat_fraction=0.3, seed=17)
     with server:
@@ -144,46 +132,27 @@ def test_report_server_throughput(results_dir, tmp_path):
 
     experiment = Experiment(
         experiment_id="server_throughput",
-        description="HTTP front-end throughput per transport: QPS and "
-                    f"client-observed latency over {REQUEST_COUNT} mixed "
-                    "k-NN/range requests, vs concurrent client threads",
+        description="HTTP front-end throughput with warm caches (every "
+                    "measured request a wire-cache hit; cold numbers: "
+                    "perfbench query-novel): QPS and client-observed "
+                    f"latency over {REQUEST_COUNT} mixed k-NN/range "
+                    "requests, vs concurrent client threads",
         swept_parameter="client_threads",
     )
 
-    for transport in ("threaded", "async"):
-        server = _boot_server(tmp_path, transport, index)
-        with server:
-            _assert_wire_matches_engine(server, payloads, triples)
-            generate_load(server.url, payloads, threads=2)  # warmup pass
-            experiment.run_sweep(
-                transport, THREAD_COUNTS,
-                lambda threads: _measure(server, payloads, int(threads)),
-            )
+    with _boot_server(tmp_path, index) as server:
+        _assert_wire_matches_engine(server, payloads, triples)
+        generate_load(server.url, payloads, threads=2)  # warmup pass
+        experiment.run_sweep(
+            "async", THREAD_COUNTS,
+            lambda threads: _measure(server, payloads, int(threads)),
+        )
 
-        series = experiment.series[transport]
-        # Every sweep point must have completed the full workload ...
-        assert all(count == len(payloads)
-                   for count in series.values("requests"))
-        # ... with the repeated queries served out of the right cache.
-        if transport == "threaded":
-            assert all(rate > 0.0 for rate in series.values("cache_hit_rate"))
-        else:
-            assert all(rate > 0.5
-                       for rate in series.values("wire_cache_hit_rate"))
-
-    threaded_qps = experiment.series["threaded"].values("qps")[-1]
-    async_qps = experiment.series["async"].values("qps")[-1]
-    threaded_p99 = experiment.series["threaded"].values("latency_ms_p99")[-1]
-    async_p99 = experiment.series["async"].values("latency_ms_p99")[-1]
-    if not QUICK:
-        # The acceptance floor for making the event loop the default
-        # transport: twice the threaded QPS at 8 client threads, p99 no
-        # worse.  (Quick mode still runs both sweeps but does not gate on
-        # the ratio — smoke runners are too noisy for that.)
-        assert async_qps >= 2.0 * threaded_qps, \
-            f"async {async_qps:.0f} qps < 2x threaded {threaded_qps:.0f} qps"
-        assert async_p99 <= threaded_p99, \
-            f"async p99 {async_p99:.2f}ms worse than threaded {threaded_p99:.2f}ms"
+    series = experiment.series["async"]
+    # Every sweep point must have completed the full workload ...
+    assert all(count == len(payloads) for count in series.values("requests"))
+    # ... with the repeated queries served out of the wire cache.
+    assert all(rate > 0.5 for rate in series.values("wire_cache_hit_rate"))
 
     write_report(results_dir, experiment,
                  ["qps", "latency_ms_p50", "latency_ms_p90", "latency_ms_p99",

@@ -38,7 +38,7 @@ from repro.ingest import IngestingIndex
 from repro.requirements import (GeneratorConfig, RequirementsGenerator,
                                 build_requirement_distance,
                                 build_requirement_vocabularies)
-from repro.server import ServerApp, SemTreeServer
+from repro.server import AsyncSemTreeServer, ServerApp
 from repro.server.bootstrap import vocabulary_hints
 from repro.workloads import ServerClient, generate_load, query_payloads
 
@@ -110,7 +110,7 @@ def _measure_single(index, tmp_path, tag: str, payloads) -> Dict[str, float]:
     """The baseline: the same index behind one in-process full server."""
     live = IngestingIndex(index, tmp_path / f"baseline-wal-{tag}.jsonl")
     app = ServerApp(live, workers=4, background_compaction=False)
-    with SemTreeServer(app).serve_background() as server:
+    with AsyncSemTreeServer(app).serve_background() as server:
         summary = generate_load(server.url, payloads, threads=CLIENT_THREADS)
     summary["shard_processes"] = 0.0
     return summary
@@ -132,7 +132,7 @@ def _assert_same_answers(snapshot, index, payloads) -> None:
         fleet.append(coordinator)
         live = IngestingIndex(index, snapshot.parent / "oracle-wal.jsonl")
         app = ServerApp(live, workers=2, background_compaction=False)
-        with SemTreeServer(app).serve_background() as baseline:
+        with AsyncSemTreeServer(app).serve_background() as baseline:
             sharded_client = ServerClient(coordinator.url)
             baseline_client = ServerClient(baseline.url)
             for path, body in payloads[:16]:

@@ -11,9 +11,8 @@ Boot sequence:
    ``--skip-shard-check``, each shard's ``/v1/shard`` is probed to confirm
    it serves the partition the topology claims;
 3. a :class:`~repro.coordinator.app.CoordinatorApp` (query engine over the
-   :class:`~repro.coordinator.sharded.ShardedIndex`) is bound to the HTTP
-   transport chosen by ``--transport`` (the :mod:`selectors` event loop by
-   default, or thread-per-connection with ``--transport threaded``);
+   :class:`~repro.coordinator.sharded.ShardedIndex`) is bound to an
+   :class:`~repro.server.async_http.AsyncSemTreeServer`;
 4. SIGINT/SIGTERM drain in-flight queries and close the shard connections.
 
 Example::
@@ -39,9 +38,9 @@ from repro.coordinator.transport import HttpShardTransport
 from repro.errors import ShardError
 from repro.obs.logging import configure_logging
 from repro.obs.profile import SamplingProfiler
-from repro.server.__main__ import ServerLike, _fault_plan, _serve_until_signalled
+from repro.server.__main__ import _fault_plan, _serve_until_signalled
+from repro.server.async_http import AsyncSemTreeServer
 from repro.server.bootstrap import derive_distance_from_state
-from repro.server.factory import TRANSPORTS, create_server
 from repro.service.snapshot import load_index_payload, read_snapshot_payload
 from repro.workloads.http_client import ServerClient
 
@@ -64,16 +63,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8080,
                         help="bind port (0 picks an ephemeral port)")
-    parser.add_argument("--transport", choices=TRANSPORTS, default=None,
-                        help="HTTP front end: the selectors event loop "
-                             "('async', the default) or thread-per-connection "
-                             "('threaded'); default honours $REPRO_TRANSPORT")
     parser.add_argument("--idle-timeout", type=float, default=None,
-                        help="async transport: drop keep-alive connections "
-                             "idle this many seconds (default: the request "
-                             "timeout)")
-    parser.add_argument("--transport-workers", type=int, default=8,
-                        help="async transport: dispatch worker threads")
+                        help="drop keep-alive connections idle this many "
+                             "seconds (default: the request timeout)")
     parser.add_argument("--workers", type=int, default=4,
                         help="query-engine worker threads")
     parser.add_argument("--scatter-workers", type=int, default=8,
@@ -146,7 +138,7 @@ def _check_shards(topology: ShardTopology, timeout: float) -> None:
 
 
 def build_coordinator(argv: Optional[Sequence[str]] = None,
-                      ) -> Tuple[ServerLike, argparse.Namespace]:
+                      ) -> Tuple[AsyncSemTreeServer, argparse.Namespace]:
     """Parse arguments, load the snapshot, return a bound (not serving) server."""
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -186,11 +178,10 @@ def build_coordinator(argv: Optional[Sequence[str]] = None,
         client_rate=args.client_rate,
         client_burst=args.client_burst,
     )
-    server = create_server(
-        app, transport=args.transport, host=args.host, port=args.port,
+    server = AsyncSemTreeServer(
+        app, host=args.host, port=args.port,
         quiet=args.quiet, fault_plan=fault_plan,
         idle_timeout=args.idle_timeout,
-        transport_workers=args.transport_workers,
         # Shard data changes under the coordinator without any local epoch
         # signal, so loop-side byte caching is never safe here (and
         # CoordinatorApp exposes no cacheable routes).

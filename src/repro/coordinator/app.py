@@ -113,7 +113,7 @@ class CoordinatorApp:
         with self._requests_lock:
             return dict(self._requests)
 
-    # -- routing (consumed by repro.server.http) ----------------------------------------
+    # -- routing (consumed by repro.server.protocol) ------------------------------------
 
     def post_routes(self) -> Dict[str, Callable[[Any], Dict[str, Any]]]:
         return {

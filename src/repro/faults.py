@@ -7,8 +7,8 @@ response) and *how often* (an activation probability driven by a seeded
 RNG, an optional skip count and an optional fire budget).  The plan is the
 single source of chaos in the process: the shard transport
 (:class:`~repro.coordinator.transport.HttpShardTransport`) consults it
-before every scan attempt and the HTTP handler
-(:mod:`repro.server.http`) consults it before every request, so the same
+before every scan attempt and the HTTP dispatcher
+(:mod:`repro.server.protocol`) consults it before every request, so the same
 plan description can break either side of the wire.
 
 Determinism is the point: two runs with the same plan JSON and the same

@@ -126,7 +126,7 @@ class DeltaIndex:
 
     @property
     def last_seq(self) -> int:
-        """WAL sequence number of the newest point currently in the delta."""
+        """WAL sequence number of the newest point ever added (kept by :meth:`drain`)."""
         with self._lock:
             return self._last_seq
 

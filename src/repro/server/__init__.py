@@ -13,16 +13,10 @@ clients that are not the process that built it:
   :class:`~repro.ingest.ingesting.IngestingIndex` (WAL + delta), the
   unified ``/v1/metrics`` payload, graceful close with
   checkpoint-on-exit;
-* :mod:`repro.server.protocol` — the transport-neutral framing and
-  dispatch layer both HTTP front ends share: one incremental request
-  parser, one error ladder, one access-log line;
-* :mod:`repro.server.http` — :class:`SemTreeServer`, the threaded
-  transport (``ThreadingHTTPServer``, one handler thread per connection);
-* :mod:`repro.server.async_http` — :class:`AsyncSemTreeServer`, the
-  event-loop transport (one ``selectors`` loop + a worker pool);
-* :mod:`repro.server.factory` — :func:`create_server`, which picks a
-  transport from the ``--transport`` flag / ``$REPRO_TRANSPORT`` (the
-  event-loop transport is the default);
+* :mod:`repro.server.protocol` — HTTP/1.1 framing and dispatch: one
+  incremental request parser, one error ladder, one access-log line;
+* :mod:`repro.server.async_http` — :class:`AsyncSemTreeServer`, the HTTP
+  transport (one ``selectors`` event loop + a worker pool);
 * :mod:`repro.server.bootstrap` — recovering a servable index (and the
   semantic distance) from a checkpoint snapshot + WAL on disk;
 * :mod:`repro.server.__main__` — the ``python -m repro.server`` CLI.
@@ -34,11 +28,8 @@ reference and ``docs/architecture.md`` for where this layer sits.
 
 from repro.server.app import ServerApp
 from repro.server.async_http import AsyncSemTreeServer
-from repro.server.factory import (DEFAULT_TRANSPORT, TRANSPORT_ENV, TRANSPORTS,
-                                  create_server, resolve_transport)
 from repro.server.bootstrap import (derive_distance, harvest_triples, load_shard,
                                     recover_index)
-from repro.server.http import SemTreeServer
 from repro.server.schemas import (parse_insert_request, parse_query_request,
                                   parse_shard_scan_request, parse_triple,
                                   render_result)
@@ -47,13 +38,7 @@ from repro.server.shard import ShardApp
 __all__ = [
     "ServerApp",
     "ShardApp",
-    "SemTreeServer",
     "AsyncSemTreeServer",
-    "create_server",
-    "resolve_transport",
-    "TRANSPORTS",
-    "DEFAULT_TRANSPORT",
-    "TRANSPORT_ENV",
     "derive_distance",
     "harvest_triples",
     "recover_index",

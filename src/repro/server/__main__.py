@@ -8,9 +8,9 @@ Boot sequence (full server, the default):
 2. the tree is restored from the snapshot and the WAL records after its
    ``wal_seq`` are replayed into the delta;
 3. a :class:`~repro.server.app.ServerApp` (query engine + background
-   compactor) is bound to the HTTP transport chosen by ``--transport``
-   (the :mod:`selectors` event loop by default, or thread-per-connection
-   with ``--transport threaded``);
+   compactor) is bound to an
+   :class:`~repro.server.async_http.AsyncSemTreeServer` (one
+   :mod:`selectors` event loop + a worker pool);
 4. on SIGINT/SIGTERM the server stops accepting, drains in-flight queries,
    folds the delta, writes a checkpoint back to ``--snapshot`` and
    truncates the WAL (disable with ``--no-checkpoint-on-exit``).
@@ -37,7 +37,7 @@ import argparse
 import signal
 import sys
 import threading
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple
 
 from repro.errors import IndexError_
 from repro.faults import FaultPlan
@@ -46,13 +46,9 @@ from repro.obs.profile import SamplingProfiler
 from repro.server.app import ServerApp
 from repro.server.async_http import AsyncSemTreeServer
 from repro.server.bootstrap import load_shard, recover_index, wal_tail_seq
-from repro.server.factory import TRANSPORTS, create_server
-from repro.server.http import SemTreeServer
 from repro.server.shard import ShardApp
 
 __all__ = ["build_parser", "build_server", "main"]
-
-ServerLike = Union[SemTreeServer, AsyncSemTreeServer]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,20 +71,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--host", default="127.0.0.1", help="bind address")
     parser.add_argument("--port", type=int, default=8080,
                         help="bind port (0 picks an ephemeral port)")
-    parser.add_argument("--transport", choices=TRANSPORTS, default=None,
-                        help="HTTP front end: the selectors event loop "
-                             "('async', the default) or thread-per-connection "
-                             "('threaded'); default honours $REPRO_TRANSPORT")
     parser.add_argument("--idle-timeout", type=float, default=None,
-                        help="async transport: drop keep-alive connections "
-                             "idle this many seconds (default: the request "
-                             "timeout)")
-    parser.add_argument("--transport-workers", type=int, default=8,
-                        help="async transport: dispatch worker threads")
+                        help="drop keep-alive connections idle this many "
+                             "seconds (default: the request timeout)")
     parser.add_argument("--no-wire-cache", action="store_true",
-                        help="async transport: disable the loop-side "
-                             "response byte cache (full servers only; shards "
-                             "and coordinators never cache wire bytes)")
+                        help="disable the event loop's response byte cache "
+                             "(full servers only; shards and coordinators "
+                             "never cache wire bytes)")
     parser.add_argument("--workers", type=int, default=4,
                         help="query-engine worker threads")
     parser.add_argument("--cache-capacity", type=int, default=1024,
@@ -136,7 +125,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def build_server(argv: Optional[Sequence[str]] = None) -> Tuple["ServerLike", argparse.Namespace]:
+def build_server(argv: Optional[Sequence[str]] = None,
+                 ) -> Tuple[AsyncSemTreeServer, argparse.Namespace]:
     """Parse arguments, recover the index (or load the shard), return a bound server."""
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -165,11 +155,10 @@ def build_server(argv: Optional[Sequence[str]] = None) -> Tuple["ServerLike", ar
         client_rate=args.client_rate,
         client_burst=args.client_burst,
     )
-    server = create_server(
-        app, transport=args.transport, host=args.host, port=args.port,
+    server = AsyncSemTreeServer(
+        app, host=args.host, port=args.port,
         quiet=args.quiet, fault_plan=_fault_plan(args),
         idle_timeout=args.idle_timeout,
-        transport_workers=args.transport_workers,
         wire_cache=not args.no_wire_cache,
     )
     return server, args
@@ -182,7 +171,7 @@ def _fault_plan(args: argparse.Namespace) -> Optional[FaultPlan]:
     return FaultPlan.from_env()
 
 
-def _build_shard_server(args: argparse.Namespace) -> ServerLike:
+def _build_shard_server(args: argparse.Namespace) -> AsyncSemTreeServer:
     """Boot the process as a read-only partition shard."""
     tail = wal_tail_seq(args.wal)
     boot = load_shard(args.snapshot, args.shard)
@@ -196,11 +185,10 @@ def _build_shard_server(args: argparse.Namespace) -> ServerLike:
         boot, slow_query_ms=args.slow_query_ms,
         profiler=SamplingProfiler().start() if args.profile else None,
     )
-    return create_server(
-        app, transport=args.transport, host=args.host, port=args.port,
+    return AsyncSemTreeServer(
+        app, host=args.host, port=args.port,
         quiet=args.quiet, fault_plan=_fault_plan(args),
         idle_timeout=args.idle_timeout,
-        transport_workers=args.transport_workers,
         # A shard's scan results depend only on its immutable boot snapshot,
         # but ShardApp exposes no cacheable routes anyway — keep it off.
         wire_cache=False,
@@ -228,7 +216,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return _serve_until_signalled(server, args)
 
 
-def _serve_until_signalled(server: ServerLike, args: argparse.Namespace) -> int:
+def _serve_until_signalled(server: AsyncSemTreeServer,
+                           args: argparse.Namespace) -> int:
     stop = threading.Event()
 
     def request_stop(signum, frame) -> None:

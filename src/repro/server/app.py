@@ -6,7 +6,7 @@ segment), a :class:`~repro.service.engine.QueryEngine` (batching, result
 cache, deadlines) and an optional
 :class:`~repro.ingest.compactor.BackgroundCompactor` — and exposes one
 method per HTTP endpoint, taking and returning plain JSON-native
-dictionaries.  The HTTP layer (:mod:`repro.server.http`) is a thin adapter
+dictionaries.  The HTTP layer (:mod:`repro.server.protocol`) is a thin adapter
 over it; tests and benchmarks can drive the app directly.
 
 The unified metrics payload
@@ -206,7 +206,7 @@ class ServerApp:
         with self._requests_lock:
             return dict(self._requests)
 
-    # -- routing (consumed by repro.server.http) ----------------------------------------
+    # -- routing (consumed by repro.server.protocol) ------------------------------------
 
     def post_routes(self) -> Dict[str, Any]:
         """Path → handler for POST endpoints (the transport's routing table)."""
@@ -242,13 +242,16 @@ class ServerApp:
     def wire_cache_epoch(self) -> tuple:
         """A value that changes whenever any cached answer could change.
 
-        ``(tree generation, last WAL sequence)``: the generation moves per
-        compaction, the WAL sequence per insert — so a wire-cached answer
-        is valid exactly while both stand still.  (The engine's own result
-        cache can survive inserts by overlaying delta matches; a cache of
-        serialised response bytes cannot, hence the stricter key.)
+        ``(tree generation, delta sequence)``: the generation moves per
+        compaction; the delta sequence is the WAL sequence of the newest
+        insert a query can see, set when the point becomes visible (not
+        when it is logged, which happens first) and kept across
+        compactions — so a wire-cached answer is valid exactly while both
+        stand still.  (The engine's own result cache can survive inserts
+        by overlaying delta matches; a cache of serialised response bytes
+        cannot, hence the stricter key.)
         """
-        return (self.index.generation, self.index.wal.last_seq)
+        return (self.index.generation, self.index.delta.last_seq)
 
     # -- bookkeeping --------------------------------------------------------------------
 

@@ -1,9 +1,8 @@
-"""The event-loop HTTP transport: one ``selectors`` loop, a worker pool.
+"""The HTTP transport: one ``selectors`` event loop, a worker pool.
 
-:class:`AsyncSemTreeServer` serves the same apps as the threaded
-:class:`~repro.server.http.SemTreeServer` — identical URL surface,
-identical wire behaviour (both transports share every status, error body
-and close decision through :mod:`repro.server.protocol`) — but holds
+:class:`AsyncSemTreeServer` serves every app (full server, shard,
+coordinator).  Every status, error body and close decision comes from
+:mod:`repro.server.protocol`; this module moves the bytes, and holds
 connections without holding threads:
 
 - **One event loop** (a ``selectors.DefaultSelector`` on a dedicated
@@ -35,17 +34,16 @@ The optional **wire cache** (off by default; the CLI enables it for
 single-node servers) serves byte-identical repeat answers for read-only
 endpoints straight from the loop thread: entries are keyed on
 ``(route, raw request body)`` and stamped with the app's
-``wire_cache_epoch()`` — ``(tree generation, WAL sequence)`` for a
-:class:`~repro.server.app.ServerApp` — so any insert invalidates every
-cached answer.  Requests carrying deadlines, partial-result opt-ins,
-debug-trace opt-ins, client ids under admission control, or any fault
-plan bypass the cache entirely.
+``wire_cache_epoch()`` — ``(tree generation, sequence of the newest
+visible insert)`` for a :class:`~repro.server.app.ServerApp` — so any
+insert invalidates every cached answer.  Requests carrying deadlines,
+partial-result opt-ins, debug-trace opt-ins, client ids under admission
+control, or any fault plan bypass the cache entirely.
 
-**Drain semantics** match the threaded transport (pinned by
-``tests/server/test_shutdown_drain.py``): :meth:`close` stops accepting,
-drops idle connections, finishes every in-flight request — frame, handle,
-*write the response* — and only then closes the app (checkpointing the
-WAL position).
+**Drain semantics** (pinned by ``tests/server/test_shutdown_drain.py``):
+:meth:`close` stops accepting, drops idle connections, finishes every
+in-flight request — frame, handle, *write the response* — and only then
+closes the app (checkpointing the WAL position).
 """
 
 from __future__ import annotations
@@ -68,6 +66,10 @@ __all__ = ["AsyncSemTreeServer"]
 
 #: Bytes pulled per non-blocking socket read.
 _RECV_SIZE = 64 * 1024
+
+#: Worker threads that run the app (the engine below has its own pool;
+#: these parse JSON, execute handlers and serialise responses).
+_WORKERS = 8
 
 #: Histogram buckets for the loop-lag metric (seconds): the time a
 #: finished response waited in the completion queue before the loop wrote
@@ -113,36 +115,31 @@ class _Connection:
 class AsyncSemTreeServer:
     """The event-loop front end: one app, one listening socket, one loop.
 
-    Parameters mirror :class:`~repro.server.http.SemTreeServer` (``app``,
-    ``host``/``port``, ``quiet``, ``request_timeout``, ``fault_plan``),
-    plus the loop-specific knobs:
+    Besides ``app``, ``quiet`` and ``fault_plan`` (``$REPRO_FAULTS`` when
+    unset):
 
+    host / port:
+        Bind address; ``port=0`` picks an ephemeral port.
+    request_timeout:
+        Seconds a request may take to frame, however steadily its bytes
+        drip in.
     idle_timeout:
         Seconds of *no progress* before a connection is reaped — an idle
         keep-alive socket, a slowloris drip-feeding headers, or a stalled
         reader mid-response.  Defaults to ``request_timeout``.
-    transport_workers:
-        Size of the worker pool that runs the app (the engine below has
-        its own pool; these workers parse JSON, execute handlers and
-        serialise responses).
     wire_cache / wire_cache_capacity:
         Enable the loop-side response byte cache (see the module
         docstring).  Only effective when the app exposes
         ``wire_cache_epoch()`` and ``wire_cacheable_routes()``.
 
     Use :meth:`serve_background` for an in-process server and
-    :meth:`serve_forever` on a dedicated (main) thread for a deployment;
-    prefer constructing through :func:`repro.server.create_server`.
+    :meth:`serve_forever` on a dedicated (main) thread for a deployment.
     """
-
-    #: Transport name, as accepted by ``create_server``.
-    transport = "async"
 
     def __init__(self, app, *, host: str = "127.0.0.1", port: int = 0,
                  quiet: bool = True, request_timeout: float = 30.0,
                  idle_timeout: Optional[float] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 transport_workers: int = 8,
                  wire_cache: bool = False, wire_cache_capacity: int = 4096):
         if fault_plan is None:
             fault_plan = FaultPlan.from_env()
@@ -171,7 +168,7 @@ class AsyncSemTreeServer:
                                 "wakeup")
 
         self._executor = ThreadPoolExecutor(
-            max_workers=transport_workers, thread_name_prefix="semtree-async")
+            max_workers=_WORKERS, thread_name_prefix="semtree-async")
         self._connections: Dict[socket.socket, _Connection] = {}
         self._pending = 0
         self._completions: Deque[Tuple[_Connection, WireResponse, float]] = \
@@ -269,10 +266,9 @@ class AsyncSemTreeServer:
     def close(self, *, checkpoint: bool | None = None) -> Optional[int]:
         """Stop accepting, drain in-flight requests, shut the app down.
 
-        The drain contract matches the threaded transport: every request
-        whose first bytes arrived before shutdown completes fully —
-        handler runs, response bytes written — before
-        ``app.close(checkpoint=...)`` tears down the engine and
+        The drain contract: every request whose first bytes arrived before
+        shutdown completes fully — handler runs, response bytes written —
+        before ``app.close(checkpoint=...)`` tears down the engine and
         checkpoints the WAL position.  Idle connections are dropped
         immediately; a request that never finishes framing is abandoned
         after ``request_timeout``.
@@ -301,9 +297,8 @@ class AsyncSemTreeServer:
     def _close_idle_connections(self) -> None:
         """Drop connections with no request in flight (loop does the work).
 
-        Provided for API parity with the threaded transport (tests use it
-        to exercise client-side stale-connection retries).  Blocks until
-        the loop has processed the sweep.
+        Tests use it to exercise client-side stale-connection retries.
+        Blocks until the loop has processed the sweep.
         """
         if self._loop_thread is None or not self._loop_thread.is_alive():
             return
@@ -701,9 +696,8 @@ class AsyncSemTreeServer:
         - mid-response (stalled reader): ``idle_timeout`` since the last
           successful write.
 
-        Like the threaded transport's socket timeout, reaping closes the
-        connection silently — no bytes of a response could be trusted to
-        reach a peer this far gone.
+        Reaping closes the connection silently — no bytes of a response
+        could be trusted to reach a peer this far gone.
         """
         for conn in list(self._connections.values()):
             if not conn.alive or conn.state == "busy":

@@ -1,76 +1,16 @@
-"""Transport selection: one constructor for both HTTP front ends.
+"""The name of the HTTP transport every server process runs.
 
-Every in-process construction site (tests, benchmarks, tools) and all the
-CLIs build their server through :func:`create_server`, so the whole stack
-switches transport from one place: the ``--transport`` flag, the
-``$REPRO_TRANSPORT`` environment variable (which subprocess fleets inherit
-— the launcher passes the parent environment through), or the baked-in
-default.  The event-loop transport is the default: the benchmarks in
-``BENCH_server_throughput.json`` show it clearing twice the threaded
-transport's QPS at 8 client threads with no p99 regression.
+There is one: :class:`~repro.server.async_http.AsyncSemTreeServer`, built
+directly by the CLIs, tests, tools and benchmarks.
 """
 
 from __future__ import annotations
 
-import os
-from typing import Optional, Union
+from typing import Optional
 
-from repro.errors import QueryError
-from repro.faults import FaultPlan
-from repro.server.async_http import AsyncSemTreeServer
-from repro.server.http import SemTreeServer
-
-__all__ = ["TRANSPORTS", "DEFAULT_TRANSPORT", "TRANSPORT_ENV",
-           "resolve_transport", "create_server"]
-
-#: Transport names accepted by ``create_server`` / ``--transport``.
-TRANSPORTS = ("threaded", "async")
-
-#: The transport used when neither the caller nor the environment chose.
-DEFAULT_TRANSPORT = "async"
-
-#: Environment variable consulted when no explicit transport is passed
-#: (the CI matrix and the chaos/perf smoke jobs set this).
-TRANSPORT_ENV = "REPRO_TRANSPORT"
+__all__ = ["resolve_transport"]
 
 
 def resolve_transport(transport: Optional[str] = None) -> str:
-    """The effective transport name: argument → environment → default."""
-    name = transport or os.environ.get(TRANSPORT_ENV) or DEFAULT_TRANSPORT
-    name = name.strip().lower()
-    if name not in TRANSPORTS:
-        raise QueryError(
-            f"unknown transport {name!r}; expected one of {', '.join(TRANSPORTS)}")
-    return name
-
-
-def create_server(app, *, transport: Optional[str] = None,
-                  host: str = "127.0.0.1", port: int = 0, quiet: bool = True,
-                  request_timeout: float = 30.0,
-                  fault_plan: Optional[FaultPlan] = None,
-                  idle_timeout: Optional[float] = None,
-                  transport_workers: int = 8,
-                  wire_cache: bool = False,
-                  wire_cache_capacity: int = 4096,
-                  ) -> Union[SemTreeServer, AsyncSemTreeServer]:
-    """Build the chosen transport around ``app`` (not yet serving).
-
-    The threaded transport ignores the loop-specific knobs
-    (``idle_timeout``, ``transport_workers``, ``wire_cache*``): its
-    per-read socket timeout covers the idle/stall cases and it has no
-    loop-side cache.  Everything else — URL surface, wire behaviour,
-    drain semantics — is identical between the two (see
-    :mod:`repro.server.protocol`).
-    """
-    name = resolve_transport(transport)
-    if name == "threaded":
-        return SemTreeServer(app, host=host, port=port, quiet=quiet,
-                             request_timeout=request_timeout,
-                             fault_plan=fault_plan)
-    return AsyncSemTreeServer(app, host=host, port=port, quiet=quiet,
-                              request_timeout=request_timeout,
-                              idle_timeout=idle_timeout,
-                              fault_plan=fault_plan,
-                              transport_workers=transport_workers,
-                              wire_cache=wire_cache,
-                              wire_cache_capacity=wire_cache_capacity)
+    """Always ``"async"``: perfbench's run provenance imports this name."""
+    return "async"

@@ -1,16 +1,15 @@
 """The transport-neutral HTTP/1.1 framing and dispatch layer.
 
-Both transports — the threaded :class:`~repro.server.http.SemTreeServer`
-and the event-loop :class:`~repro.server.async_http.AsyncSemTreeServer` —
-are thin byte movers around this module.  They share exactly one
-implementation of:
+The transport, :class:`~repro.server.async_http.AsyncSemTreeServer`, is a
+thin byte mover around this module, which holds the one implementation
+of:
 
 - **framing** (:class:`RequestParser`): an incremental, non-blocking
   HTTP/1.1 request parser.  Bytes go in via :meth:`RequestParser.feed` in
   whatever chunks the socket produced; a :class:`ParsedRequest` comes out.
   All limits (request-line length, header count/size, body size) and all
   malformed-input verdicts live here, so a framing fuzzer that pins this
-  module pins both transports at once.
+  module pins the server's framing.
 - **dispatch** (:class:`Dispatcher`): the full request lifecycle — trace
   activation, request context, fault injection, routing, the pinned
   4xx/5xx error ladder, handler invocation, serialisation, the access-log
@@ -19,11 +18,11 @@ implementation of:
 The parser deliberately *pauses* once the header block is complete
 (``state == "paused"``): whether the body should be read at all is a
 dispatch-level decision (a 404 or 415 answers immediately without waiting
-for body bytes that may never arrive — exactly what the threaded handler
-has always done).  The transport asks :meth:`Dispatcher.needs_body`; a
-``True`` resumes body framing via :meth:`RequestParser.begin_body`, a
-``False`` dispatches right away with the body unread (and the connection
-marked to close, so leftover bytes can never desync the next exchange).
+for body bytes that may never arrive).  The transport asks
+:meth:`Dispatcher.needs_body`; a ``True`` resumes body framing via
+:meth:`RequestParser.begin_body`, a ``False`` dispatches right away with
+the body unread (and the connection marked to close, so leftover bytes
+can never desync the next exchange).
 """
 
 from __future__ import annotations
@@ -439,9 +438,8 @@ def _routing_error(route: str, method: str, known: set) -> Tuple[int, Dict[str, 
 class Dispatcher:
     """The transport-neutral request lifecycle over one bound app.
 
-    ``dispatch`` runs on whatever thread the transport chose (a handler
-    thread for the threaded server, a pool worker for the async one); it
-    is fully thread-safe because all mutable state lives in the app/engine
+    ``dispatch`` runs on one of the transport's pool workers; it is fully
+    thread-safe because all mutable state lives in the app/engine
     layers below, which already serve concurrent callers.
     """
 
@@ -472,9 +470,8 @@ class Dispatcher:
 
         Mirrors the pinned POST error ladder: a request that will die on
         routing (404/405), media type (415), transfer encoding (501),
-        length (411) or size (413) is answered immediately — the threaded
-        server has never waited for body bytes on those paths, and the
-        fuzzer pins both transports to that behaviour.
+        length (411) or size (413) is answered immediately, without
+        waiting for body bytes; the framing fuzzer pins that behaviour.
         """
         if request.method != "POST":
             return False

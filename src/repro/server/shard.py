@@ -13,7 +13,7 @@ booted from.
 
 :class:`ShardApp` exposes the same route-table surface as
 :class:`~repro.server.app.ServerApp`, so the same
-:class:`~repro.server.http.SemTreeServer` transport binds either.
+:class:`~repro.server.async_http.AsyncSemTreeServer` transport binds either.
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class ShardApp:
         )
         return cls(boot)
 
-    # -- routing (consumed by repro.server.http) ----------------------------------------
+    # -- routing (consumed by repro.server.protocol) ------------------------------------
 
     def post_routes(self) -> Dict[str, Callable[[Any], Dict[str, Any]]]:
         return {

@@ -2,7 +2,7 @@
 
 Two deployment shapes are exercised:
 
-* **in-process HTTP shards** — one :class:`SemTreeServer` per partition
+* **in-process HTTP shards** — one :class:`AsyncSemTreeServer` per partition
   over a :class:`ShardApp`, on ephemeral loopback ports.  Real sockets and
   real wire schemas, without subprocess start-up cost; used by most tests.
 * **real subprocesses** — ``python -m repro.server --shard`` /
@@ -16,7 +16,7 @@ import pytest
 
 from coordinator_corpus import build_corpus_index
 from repro.coordinator import HttpShardTransport, ShardTopology
-from repro.server import ShardApp, create_server
+from repro.server import AsyncSemTreeServer, ShardApp
 
 
 @pytest.fixture(scope="module")
@@ -42,7 +42,7 @@ def shard_fleet(corpus_index):
     servers = {}
     for partition_id in data_partitions:
         app = ShardApp.from_index(index, partition_id)
-        servers[partition_id] = create_server(app).serve_background()
+        servers[partition_id] = AsyncSemTreeServer(app).serve_background()
     topology = ShardTopology({
         partition_id: server.url for partition_id, server in servers.items()
     })

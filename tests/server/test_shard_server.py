@@ -7,7 +7,7 @@ import pytest
 from server_corpus import BASE_TRIPLES
 from repro.errors import IndexError_, PartitionError, ServerError
 from repro.ingest import IngestingIndex
-from repro.server import create_server, ShardApp, load_shard
+from repro.server import AsyncSemTreeServer, ShardApp, load_shard
 from repro.server.__main__ import build_server
 from repro.workloads import ServerClient
 
@@ -29,7 +29,7 @@ def shard(make_base):
     index = make_base()
     partition_id = next(p.partition_id for p in index.tree.partitions
                         if p.point_count > 0)
-    server = create_server(ShardApp.from_index(index, partition_id)).serve_background()
+    server = AsyncSemTreeServer(ShardApp.from_index(index, partition_id)).serve_background()
     yield index, partition_id, server, ServerClient(server.url)
     if not server.app.closed:
         server.close()
@@ -159,7 +159,7 @@ class TestSnapshotBoot:
         index, snapshot = checkpoint
         partition_id = next(p.partition_id for p in index.tree.partitions
                             if p.point_count > 0)
-        server = create_server(ShardApp(load_shard(snapshot, partition_id)))
+        server = AsyncSemTreeServer(ShardApp(load_shard(snapshot, partition_id)))
         with server:
             server.serve_background()
             client = ServerClient(server.url)

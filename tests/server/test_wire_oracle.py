@@ -3,15 +3,17 @@
 A seeded random workload of interleaved inserts, k-NN and range queries
 runs against a live HTTP server while an in-process
 :class:`~repro.core.SemTreeIndex` oracle applies the same operations.
-Every query's wire answer must equal the oracle's, on both transports —
-so the framing layer, the dispatch path, the engine result cache *and*
-the async transport's wire-byte cache (enabled here precisely to prove
-its insert invalidation) are all transparent to correctness.
+Every query's wire answer must equal the oracle's — so the framing layer,
+the dispatch path, the engine result cache *and* the transport's
+wire-byte cache (enabled here precisely to prove its insert invalidation)
+are all transparent to correctness.  The ``async`` ids name the transport
+under test.
 """
 
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
@@ -22,11 +24,11 @@ SEED = 20260808
 STEPS = 120
 
 
-@pytest.mark.parametrize("transport", ["threaded", "async"])
+@pytest.mark.parametrize("server_kwargs", [{"wire_cache": True}],
+                         ids=["async"])
 def test_random_workload_matches_in_process_oracle(
-        make_transport_server, make_base, transport):
-    server_kwargs = {"wire_cache": True} if transport == "async" else {}
-    server = make_transport_server(transport, server_kwargs=server_kwargs)
+        make_server, make_base, server_kwargs):
+    server, _ = make_server(server_kwargs=server_kwargs)
     oracle = make_base()  # the identical deterministic base index
     rng = random.Random(SEED)
     pool = list(INSERT_TRIPLES + STREAM_TRIPLES)
@@ -59,21 +61,20 @@ def test_random_workload_matches_in_process_oracle(
                     f"range({triple}, {radius}) diverged after {inserts} inserts"
                 queries += 1
     assert queries > 50 and inserts > 10  # the seed exercised both paths
-    if transport == "async":
-        stats = server.wire_cache_stats()
-        # The workload repeats queries, so the byte cache genuinely served
-        # hits — meaning the equality above also proves its invalidation.
-        assert stats["hits"] > 0
-        assert stats["misses"] > 0
+    stats = server.wire_cache_stats()
+    # The workload repeats queries, so the byte cache genuinely served
+    # hits — meaning the equality above also proves its invalidation.
+    assert stats["hits"] > 0
+    assert stats["misses"] > 0
 
 
-@pytest.mark.parametrize("transport", ["threaded", "async"])
+@pytest.mark.parametrize("server_kwargs", [{"wire_cache": True}],
+                         ids=["async"])
 def test_identical_queries_stay_identical_across_inserts(
-        make_transport_server, transport):
+        make_server, server_kwargs):
     """The hot-loop shape wire caches get wrong first: ask, insert a
     point that changes the answer, ask the same bytes again."""
-    server_kwargs = {"wire_cache": True} if transport == "async" else {}
-    server = make_transport_server(transport, server_kwargs=server_kwargs)
+    server, _ = make_server(server_kwargs=server_kwargs)
     with ServerClient(server.url) as client:
         before = client.knn(INSERT_TRIPLES[0], 3)
         repeat = client.knn(INSERT_TRIPLES[0], 3)
@@ -83,3 +84,45 @@ def test_identical_queries_stay_identical_across_inserts(
         texts = [match["text"] for match in after["matches"]]
         assert str(INSERT_TRIPLES[0]) in texts
         assert after["matches"][0]["distance"] == pytest.approx(0.0)
+
+
+def test_query_racing_an_insert_is_not_cached_past_its_ack(
+        make_server, make_base, monkeypatch):
+    """An insert is logged before its point becomes visible.  A query that
+    lands in between computes an answer without the point; once the insert
+    is acknowledged, the wire cache must not serve that answer again."""
+    server, client = make_server(server_kwargs={"wire_cache": True})
+    triple = INSERT_TRIPLES[0]
+    oracle = make_base()
+    oracle.insert_triples([triple])
+
+    delta = server.app.index.delta
+    visible_add = delta.add
+    logged, release = threading.Event(), threading.Event()
+
+    def held_add(point, seq):
+        logged.set()  # the WAL already holds the record
+        assert release.wait(10.0)
+        visible_add(point, seq)
+
+    monkeypatch.setattr(delta, "add", held_add)
+
+    acked = []
+
+    def insert():
+        with ServerClient(server.url) as writer:
+            acked.append(writer.insert(triple))
+
+    inserter = threading.Thread(target=insert)
+    inserter.start()
+    try:
+        assert logged.wait(10.0)
+        during = client.knn(triple, 1)
+        assert canonical(during["matches"]) == \
+            canonical(make_base().k_nearest(triple, 1))
+    finally:
+        release.set()
+        inserter.join(10.0)
+    assert not inserter.is_alive() and acked
+    after = client.knn(triple, 1)
+    assert canonical(after["matches"]) == canonical(oracle.k_nearest(triple, 1))
